@@ -30,11 +30,9 @@ their meter totals — fusion must charge exactly what the unfused chain
 charges — and the fused run records the kernel compile-cache counters
 (``repro.plans.kernels.kernel_cache_stats``).
 
-A third pair measures *columnar state*: the same 4-way workload over a
-hash-join tree, built once element-wise (``columnar=False``, the
-byte-identity oracle) and once with struct-of-arrays state and compiled
-probe kernels.  Outputs and meter totals of both modes are cross-checked
-in the same run; the ``columnar`` section records the same-run speedup.
+A plain throughput scenario, ``columnar_join``, runs the same 4-way
+workload over a hash-join tree built by the physical builder: columnar
+state and compiled probe kernels, the hash join's only layout.
 A fourth section measures *sharded execution*: the 4-way equi-join
 workload hash-partitioned across 1, 2 and 4 shard workers via
 ``ShardedExecutor``, against a single-process run of the identical plan
@@ -483,7 +481,7 @@ def run_fusion_scenario(
 
 
 def hash_join_plan() -> JoinNode:
-    """The 4-way *hash*-join tree of the columnar scenarios.
+    """The 4-way *hash*-join tree of the ``columnar_join`` scenario.
 
     Same shape and workload as the nested-loops scenarios above, but the
     equi-conditions compile to symmetric hash joins, which is where the
@@ -498,21 +496,13 @@ def hash_join_plan() -> JoinNode:
     return JoinNode(abc, d, Comparison("=", Field("A.a"), Field("D.d")))
 
 
-def run_columnar_scenario(
-    config: HotpathConfig, columnar: bool, batch_size: int
-) -> Tuple[Dict[str, object], List[Tuple[object, object, object, object]], int]:
-    """The 4-way hash-join workload, columnar or element-wise.
-
-    Returns ``(result, outputs, meter_total)``: the caller cross-checks
-    that both modes of the same run deliver byte-identical outputs and
-    meter totals — the columnar path's equivalence oracle.
-    """
-    box = PhysicalBuilder(columnar=columnar).build(hash_join_plan())
+def run_columnar_scenario(config: HotpathConfig, batch_size: int) -> Dict[str, object]:
+    """The 4-way hash-join workload through the builder's hash-join tree."""
+    box = PhysicalBuilder().build(hash_join_plan())
     sources = {name: PhysicalStream([], name) for name in STREAMS}
     windows = {name: config.window for name in STREAMS}
     executor = QueryExecutor(sources, windows, box, meter=CostMeter())
-    sink = CollectorSink()
-    executor.add_sink(sink)
+    executor.add_sink(CollectorSink())
 
     feed = make_batches(config, batch_size)
     timed_elements = 0
@@ -533,10 +523,8 @@ def run_columnar_scenario(
         timed_seconds = time.perf_counter() - started
     executor.finish()
 
-    outputs = [(e.payload, e.start, e.end, e.flag) for e in sink.elements]
-    result: Dict[str, object] = {
+    return {
         "batch_size": batch_size,
-        "columnar": columnar,
         "elements_timed": timed_elements,
         "seconds": round(timed_seconds, 6),
         "elements_per_sec": round(timed_elements / timed_seconds, 1),
@@ -544,7 +532,6 @@ def run_columnar_scenario(
         "results_delivered": executor.gate.delivered,
         "meter_total": executor.meter.total,
     }
-    return result, outputs, executor.meter.total
 
 
 # --------------------------------------------------------------------- #
@@ -1103,42 +1090,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"kernel cache: {report['fusion']['kernel_cache']}"
     )
 
-    # Columnar vs element-wise hash joins: same run, same workload, the
-    # ratio is immune to runner-to-runner absolute noise (like fusion).
-    columnar_results: Dict[str, Dict[str, object]] = {}
-    columnar_outputs: Dict[str, List] = {}
-    columnar_meters: Dict[str, int] = {}
-    for key, columnar in (("element_join", False), ("columnar_join", True)):
-        result, outputs, meter_total = run_columnar_scenario(
-            config, columnar, config.rate
-        )
-        columnar_results[key] = result
-        columnar_outputs[key] = outputs
-        columnar_meters[key] = meter_total
-        report["scenarios"][key] = result
-        print(
-            f"{key:16s} batch={config.rate:<3d} "
-            f"{result['elements_per_sec']:>12.1f} elements/sec "
-            f"({result['elements_timed']} elements in {result['seconds']:.3f} s, "
-            f"{result['state_values_at_measure_start']} state values)"
-        )
-    columnar_speedup = (
-        columnar_results["columnar_join"]["elements_per_sec"]
-        / columnar_results["element_join"]["elements_per_sec"]
-    )
-    report["columnar"] = {
-        "speedup": round(columnar_speedup, 2),
-        "meter_totals_match": (
-            columnar_meters["columnar_join"] == columnar_meters["element_join"]
-        ),
-        "outputs_match": (
-            columnar_outputs["columnar_join"] == columnar_outputs["element_join"]
-        ),
-    }
+    # The builder's hash-join tree: a plain throughput scenario.
+    result = run_columnar_scenario(config, config.rate)
+    report["scenarios"]["columnar_join"] = result
     print(
-        f"{'columnar':16s} speedup {columnar_speedup:.2f}x, "
-        f"meter totals match: {report['columnar']['meter_totals_match']}, "
-        f"outputs match: {report['columnar']['outputs_match']}"
+        f"{'columnar_join':16s} batch={config.rate:<3d} "
+        f"{result['elements_per_sec']:>12.1f} elements/sec "
+        f"({result['elements_timed']} elements in {result['seconds']:.3f} s, "
+        f"{result['state_values_at_measure_start']} state values)"
     )
 
     # Checkpoint/restore: size and pause of a mid-stream snapshot, and how
@@ -1207,11 +1166,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # which is exactly what a shared CI runner can check reliably.
         failed = False
         for key, result in report["scenarios"].items():
-            if key in ("fused_chain", "unfused_chain", "columnar_join", "element_join"):
-                # Gated below on the fused/unfused and columnar/element
-                # speedups — same-run ratios, so they survive
-                # runner-to-runner absolute noise that the paired
-                # scenarios are sensitive to.
+            if key in ("fused_chain", "unfused_chain"):
+                # Gated below on the fused/unfused speedup — a same-run
+                # ratio, so it survives runner-to-runner absolute noise
+                # that the paired scenarios are sensitive to.
                 continue
             committed = regress.get("scenarios", {}).get(key)
             if not committed:
@@ -1235,35 +1193,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if not report["fusion"]["meter_totals_match"]:
                 print("fusion            fused meter total diverged [REGRESSION]")
                 failed = True
-        committed_columnar = regress.get("columnar")
-        if committed_columnar:
-            if report["mode"] == regress.get("mode"):
-                ratio = report["columnar"]["speedup"] / committed_columnar["speedup"]
-                status = "ok" if ratio >= args.min_ratio else "REGRESSION"
-                print(
-                    f"{'columnar speedup':16s} {ratio:.2f}x of committed "
-                    f"({committed_columnar['speedup']}x columnar/element) [{status}]"
-                )
-                failed = failed or ratio < args.min_ratio
-            else:
-                # Unlike the fusion ratio, the columnar win grows with
-                # join-state size, so a smoke run cannot be held to a
-                # full capture's ratio; cross-mode the gate only demands
-                # that the columnar path still beats the element path.
-                speedup = report["columnar"]["speedup"]
-                status = "ok" if speedup > 1.0 else "REGRESSION"
-                print(
-                    f"{'columnar speedup':16s} {speedup:.2f}x this run "
-                    f"(cross-mode vs {committed_columnar['speedup']}x "
-                    f"committed {regress.get('mode', '?')}) [{status}]"
-                )
-                failed = failed or speedup <= 1.0
-        if not report["columnar"]["meter_totals_match"]:
-            print("columnar          meter total diverged from element path [REGRESSION]")
-            failed = True
-        if not report["columnar"]["outputs_match"]:
-            print("columnar          outputs diverged from element path [REGRESSION]")
-            failed = True
         # Recovery's hard gate is correctness: checkpoint → restore →
         # replay must reproduce the uninterrupted run byte for byte.  The
         # replay throughput is additionally ratio-gated same-mode (the
@@ -1287,8 +1216,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Sharding's hard gate is byte identity: the merged sharded output
         # must equal the single-process run's, and the aggregated shard
         # meters must reproduce the single-process hash-join meter exactly.
-        # The speedup itself is gated like columnar: same-run ratio when
-        # the modes match, and cross-mode only the demand that sharding
+        # The speedup itself is gated by a same-run ratio when the modes
+        # match, and cross-mode only by the demand that sharding
         # still beats single-process at the widest sweep point (the win
         # grows with state size, so a smoke run cannot be held to a full
         # capture's ratio).

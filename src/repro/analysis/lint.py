@@ -49,7 +49,7 @@ dependency — ``ruff``/``mypy`` run additionally in CI):
     directly — a restored plan must come out of ``PhysicalBuilder`` (or
     the service registry, which delegates to it) so it is structurally
     identical to the plan the snapshot was taken from.  A hand-built
-    operator would bypass fusion/columnar decisions and the verifier,
+    operator would bypass fusion and kernel decisions and the verifier,
     silently breaking the restore-time plan match.
 
 ``RLB007``
@@ -403,7 +403,7 @@ def _operator_construction_findings(tree: ast.AST, path: str) -> List[LintFindin
                     f"recovery code constructs operator {name}() directly: "
                     "restored plans must come out of PhysicalBuilder so "
                     "they are structurally identical to the checkpointed "
-                    "plan (fusion/columnar decisions included)",
+                    "plan (fusion and kernel decisions included)",
                 )
             )
     return findings

@@ -199,7 +199,8 @@ class _StateSeeder:
         cost per candidate) instead of |L|·|R| candidate charges.  This
         is what keeps fluid migration's per-range reseeding off the
         quadratic path the whole-box Moving States computation tolerates
-        once per migration but a per-flip drain cannot.
+        once per migration but a per-flip drain cannot.  Result payloads
+        are concatenated, as in :class:`~repro.operators.join.HashJoin`.
         """
         left_key, right_key = operator._keys
         buckets: Dict[Any, List[StreamElement]] = {}
@@ -213,9 +214,5 @@ class _StateSeeder:
                 overlap = left.interval.intersect(right.interval)
                 if overlap is None:
                     continue
-                results.append(
-                    StreamElement(
-                        operator.combiner(left.payload, right.payload), overlap
-                    )
-                )
+                results.append(StreamElement(left.payload + right.payload, overlap))
         return results

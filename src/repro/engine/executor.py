@@ -172,11 +172,12 @@ class QueryExecutor:
         box.set_meter(self.meter)
         self._wire_statistics(box)
         self.box = box
-        # Feed columnar runs whenever the installed plan contains a
-        # columnar operator: the struct-of-arrays layout is built once at
-        # ingestion and flows through windows and routers untouched.
+        # Feed columnar runs whenever the installed plan contains an
+        # operator that consumes them (``columnar_feed``, a class-level
+        # marker of the hash join): the struct-of-arrays layout is built
+        # once at ingestion and flows through windows and routers untouched.
         self._columnar_feed = any(
-            getattr(op, "_columnar", False) for op in box.operators
+            getattr(op, "columnar_feed", False) for op in box.operators
         )
 
     def _wire_statistics(self, box: Box) -> None:
@@ -219,7 +220,7 @@ class QueryExecutor:
         if self.strategy is not None:
             raise MigrationError("a migration is already in progress")
         new_box.set_meter(self.meter)
-        if any(getattr(op, "_columnar", False) for op in new_box.operators):
+        if any(getattr(op, "columnar_feed", False) for op in new_box.operators):
             self._columnar_feed = True
         self.strategy = strategy
         strategy.begin(self, new_box)

@@ -68,7 +68,7 @@ class Aggregate(StatefulOperator):
         self._frontier: Time = MIN_TIME
         self._fold_kernel = None
 
-    def enable_columnar(self, spec: Sequence[Tuple[str, Optional[int]]]) -> None:
+    def use_fold_kernel(self, spec: Sequence[Tuple[str, Optional[int]]]) -> None:
         """Switch the segment sweep to a compiled column fold.
 
         ``spec`` names the aggregate functions positionally as
@@ -81,11 +81,10 @@ class Aggregate(StatefulOperator):
         path: group formation needs the payload rows anyway.
         """
         if self.group_key is not None:
-            raise ValueError("columnar fold requires ungrouped aggregation")
+            raise ValueError("the fold kernel requires ungrouped aggregation")
         from ..plans.kernels import compile_fold_kernel
 
         self._fold_kernel = compile_fold_kernel(tuple(spec))
-        self.migration_profile = "general"
 
     def _on_element(self, element: StreamElement, port: int) -> None:
         self.meter.charge(1, "aggregate")

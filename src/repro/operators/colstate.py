@@ -1,19 +1,20 @@
-"""Columnar per-key join state: the struct-of-arrays twin of
-:class:`~repro.operators.sweep.KeyedSweepArea`.
+"""Columnar per-key join state: the one state layout of the hash join.
 
 One instance holds one hash-join side as five parallel append-only
 arrays — start, end, payload row, PT flag and bucket key per element —
 plus a ``buckets`` dict mapping key → list of live array indices in
 insertion order.  The compiled probe kernels
-(:func:`repro.plans.kernels.compile_probe_kernel`) read the arrays and
-``buckets`` directly; everything else (iteration, drains, seeding)
-materialises :class:`StreamElement`\\ s on demand.
+(:func:`repro.plans.kernels.compile_probe_kernel`) and the join's
+element path read the arrays and ``buckets`` directly; everything else
+(iteration, drains, seeding) materialises :class:`StreamElement`\\ s on
+demand.
 
-Observable behaviour is bit-compatible with ``KeyedSweepArea``:
+Observable order is fixed by the buckets:
 
 * buckets are created on first insert (dict position = first-touch
   order) and deleted the moment they empty, so key iteration order — and
-  hence ``state_of_port`` / ``state_elements`` order — matches;
+  hence ``state_of_port`` / ``state_elements`` order — is first-touch
+  order of the live keys;
 * iteration yields bucket order then insertion order within the bucket;
 * ``expire`` removes exactly the elements whose expiry has been reached.
 

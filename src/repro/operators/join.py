@@ -11,18 +11,18 @@ Section 2.2.
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Iterator, List, Optional
 
 from ..temporal.batch import Batch
 from ..temporal.columnar import ColumnarBatch
 from ..temporal.element import Payload, StreamElement, combine_flags
 from ..temporal.interval import TimeInterval
-from ..temporal.time import MAX_TIME, Time
+from ..temporal.time import Time
 from . import base
 from .base import StatefulOperator
 from .colstate import ColumnarJoinState
-from .sweep import KeyedSweepArea, SweepArea
+from .sweep import SweepArea
 
 # Metering note: both joins charge predicate work in aggregate — one
 # ``charge(cost * candidates)`` per probe instead of one call per
@@ -52,21 +52,6 @@ class _JoinBase(StatefulOperator):
         #: Optional observer called with (candidates_tested, matches).
         self.selectivity_probe: Optional[Callable[[int, int], None]] = None
 
-    def _match(self, element: StreamElement, partner: StreamElement, port: int) -> None:
-        """Combine ``element`` (arrived on ``port``) with a stored partner."""
-        intersection = element.interval.intersect(partner.interval)
-        if intersection is None:
-            return
-        if port == 0:
-            left, right = element, partner
-        else:
-            left, right = partner, element
-        payload = self.combiner(left.payload, right.payload)
-        flag = combine_flags(left.flag, right.flag)
-        self._stage(StreamElement(payload, intersection, flag))
-
-    combiner: Combiner = staticmethod(concat_payloads)
-
 
 class NestedLoopsJoin(_JoinBase):
     """Symmetric nested-loops join for arbitrary theta predicates.
@@ -92,6 +77,19 @@ class NestedLoopsJoin(_JoinBase):
         self.predicate = predicate
         self.combiner = combiner
         self._states: List[SweepArea] = [SweepArea(), SweepArea()]
+
+    def _match(self, element: StreamElement, partner: StreamElement, port: int) -> None:
+        """Combine ``element`` (arrived on ``port``) with a stored partner."""
+        intersection = element.interval.intersect(partner.interval)
+        if intersection is None:
+            return
+        if port == 0:
+            left, right = element, partner
+        else:
+            left, right = partner, element
+        payload = self.combiner(left.payload, right.payload)
+        flag = combine_flags(left.flag, right.flag)
+        self._stage(StreamElement(payload, intersection, flag))
 
     def _on_element(self, element: StreamElement, port: int) -> None:
         partner_state = self._states[1 - port]
@@ -179,73 +177,47 @@ class HashJoin(_JoinBase):
     """Symmetric hash join for equi-join predicates.
 
     Args:
-        left_key / right_key: key extractors applied to the payloads.
-        combiner: result payload constructor, default concatenation.
+        left_index / right_index: payload positions of the join key on
+            the left and right input.
         predicate_cost: cost units charged per candidate comparison.
 
-    :meth:`enable_columnar` swaps both state sides to
-    :class:`~repro.operators.colstate.ColumnarJoinState` and routes
+    Each input side is a
+    :class:`~repro.operators.colstate.ColumnarJoinState`.  Unflagged
     uniform-start :class:`~repro.temporal.columnar.ColumnarBatch` runs
-    through compiled probe kernels; every other input keeps the element
-    path, which reads and writes the same columnar state.
+    probe it through compiled kernels; every other input — plain batches,
+    migration feeds, flagged Parallel Track input — takes
+    :meth:`_on_element`, which reads and writes the same state.
     """
 
     #: Verifier/fluid-migration marker: state is partitioned by the join
     #: key, so a key-range drain touches only the matching buckets.
     keyed_state = True
 
-    #: Columnar mode flag; when set, ``_probe_kernels``/``_key_indices``
-    #: hold the per-port compiled kernels and positional key columns.
-    _columnar = False
-    _probe_kernels: Optional[Tuple[Any, Any]] = None
-    _key_indices: Optional[Tuple[int, int]] = None
+    #: Executor marker: boxes containing a hash join are fed columnar
+    #: runs, the input layout of the probe kernels.
+    columnar_feed = True
+
+    #: Lint rule RLB003: plain and flagged runs take the base run loop,
+    #: one :meth:`_on_element` per element.
+    batch_fallback = True
 
     def __init__(
         self,
-        left_key: Callable[[Payload], Any],
-        right_key: Callable[[Payload], Any],
-        combiner: Combiner = concat_payloads,
+        left_index: int,
+        right_index: int,
         predicate_cost: int = 1,
         name: str = "",
     ) -> None:
-        super().__init__(predicate_cost, name or "hash-join")
-        self.combiner = combiner
-        self._keys = (left_key, right_key)
-        self._states: List[KeyedSweepArea] = [KeyedSweepArea(), KeyedSweepArea()]
-
-    def enable_columnar(self, left_index: int, right_index: int) -> None:
-        """Switch to columnar state plus compiled probe kernels.
-
-        ``left_index``/``right_index`` are the payload positions the
-        key extractors read — they MUST agree with the ``left_key`` /
-        ``right_key`` callables (the physical builder guarantees this);
-        the kernels read the positions, the element path the callables.
-        Call before feeding input: state is replaced, not migrated.
-        """
         from ..plans.kernels import compile_probe_kernel
 
-        if self.combiner is not concat_payloads:
-            raise ValueError(
-                f"{self.name}: columnar mode requires the concat combiner"
-            )
-        self._columnar = True
-        #: Verifier hints: self-declared classification (CLS001 path) and
-        #: the columnar-state marker checked by CLS003.
-        self.migration_profile = "join"
-        self.columnar_state = True
+        super().__init__(predicate_cost, name or "hash-join")
+        self._keys = (itemgetter(left_index), itemgetter(right_index))
         self._key_indices = (left_index, right_index)
-        self._states = [
-            ColumnarJoinState(self._retention),
-            ColumnarJoinState(self._retention),
-        ]
+        self._states = [ColumnarJoinState(), ColumnarJoinState()]
         self._probe_kernels = (
-            compile_probe_kernel(0, left_index),
-            compile_probe_kernel(1, right_index),
+            compile_probe_kernel(0, left_index).fn,
+            compile_probe_kernel(1, right_index).fn,
         )
-
-    # ------------------------------------------------------------------ #
-    # Columnar batch path
-    # ------------------------------------------------------------------ #
 
     def process_batch(self, batch: Batch, port: int = 0) -> None:
         """Kernel-probe a columnar run; else the stateful batch protocol.
@@ -259,8 +231,7 @@ class HashJoin(_JoinBase):
         the element path, which the probe kernels do not model.
         """
         if (
-            not self._columnar
-            or type(batch) is not ColumnarBatch
+            type(batch) is not ColumnarBatch
             or batch.flags is not None
             or self._states[0].flagged
             or self._states[1].flagged
@@ -287,7 +258,7 @@ class HashJoin(_JoinBase):
         rows = batch.rows
         own = self._states[port]
         partner = self._states[1 - port]
-        kernel = self._probe_kernels[port].fn
+        kernel = self._probe_kernels[port]
         key_index = self._key_indices[port]
         probe = self.selectivity_probe
         charge = self.meter.charge
@@ -335,27 +306,22 @@ class HashJoin(_JoinBase):
         out_r: List[Payload],
         ahead: bool,
     ) -> None:
-        """The columnar twin of :meth:`Operator._advance`.
+        """Hand one kernel probe's results on, then :meth:`_advance`.
 
-        Purge, release, promise — same sequence, same observations.  The
-        fast branch forwards the probe output as one columnar batch: it
-        applies only when the element path would have released exactly
-        these results, in this order, right now — heap empty, every
-        result starting at the run start (``not ahead``), the watermark
-        at or past it, and at most one receiver (batch dispatch groups
-        per-receiver, element dispatch interleaves; with one receiver
-        the two orders coincide).  Otherwise results are staged and
-        released through the ordinary heap discipline.
+        The probe output is forwarded as one columnar batch when the
+        element path would have released exactly these results, in this
+        order, right now — heap empty, every result starting at the run
+        start (``not ahead``), the watermark at or past it, and at most
+        one receiver (batch dispatch groups per-receiver, element
+        dispatch interleaves; with one receiver the two orders
+        coincide).  Otherwise the results are staged and released
+        through the ordinary heap discipline.
         """
-        watermark = self.min_watermark
-        if watermark > self._purged_watermark:
-            self._purged_watermark = watermark
-            self._on_watermark(watermark)
         if (
             out_s
             and not ahead
             and not self._heap
-            and watermark >= out_s[0]
+            and self.min_watermark >= out_s[0]
             and len(self._subscribers) + len(self._sinks) <= 1
         ):
             self._emit_batch(
@@ -364,49 +330,12 @@ class HashJoin(_JoinBase):
                 )
             )
         else:
-            if out_s:
-                stage = self._stage
-                for s, e, row in zip(out_s, out_e, out_r):
-                    stage(StreamElement(row, TimeInterval(s, e)))
-            heap = self._heap
-            while heap and heap[0][0] <= watermark:
-                element = heapq.heappop(heap)[-1]
-                self._staged_values -= len(element.payload)
-                self._emit(element)
-        promise = self._output_watermark(watermark)
-        if promise > self._emitted_watermark:
-            self._emitted_watermark = promise
-            self._emit_heartbeat(min(promise, MAX_TIME))
-        if base.SANITIZER is not None:
-            base.SANITIZER.on_advance(self)
-
-    # ------------------------------------------------------------------ #
-    # Element path (plain batches, migration feeds, flagged input)
-    # ------------------------------------------------------------------ #
+            stage = self._stage
+            for s, e, row in zip(out_s, out_e, out_r):
+                stage(StreamElement(row, TimeInterval(s, e)))
+        self._advance()
 
     def _on_element(self, element: StreamElement, port: int) -> None:
-        if self._columnar:
-            self._on_element_columnar(element, port)
-            return
-        key = self._keys[port](element.payload)
-        self.meter.charge(1, "join-hash")
-        matches = 0
-        for partner in list(self._states[1 - port].bucket(key)):
-            matches += 1
-            self._match(element, partner, port)
-        if matches:
-            self.meter.charge(self.predicate_cost * matches, "join-predicate")
-        if self.selectivity_probe is not None:
-            # Selectivity relative to the full partner state: the hash
-            # index prunes non-matching candidates, but the estimate must
-            # describe the predicate, not the index.
-            tested = len(self._states[1 - port])
-            if tested:
-                self.selectivity_probe(tested, matches)
-        self._states[port].insert(key, element)
-
-    def _on_element_columnar(self, element: StreamElement, port: int) -> None:
-        """One element against columnar state — same probes, same charges."""
         payload = element.payload
         key = self._keys[port](payload)
         self.meter.charge(1, "join-hash")
@@ -441,93 +370,15 @@ class HashJoin(_JoinBase):
         if matches:
             self.meter.charge(self.predicate_cost * matches, "join-predicate")
         if self.selectivity_probe is not None:
+            # Selectivity relative to the full partner state: the hash
+            # index prunes non-matching candidates, but the estimate must
+            # describe the predicate, not the index.
             tested = len(partner)
             if tested:
                 self.selectivity_probe(tested, matches)
         self._states[port].insert(
             key, element.interval.start, element.interval.end, payload, element.flag
         )
-
-    def _on_run_tail(self, elements: List[StreamElement], port: int) -> None:
-        """Probe a uniform-start run bucket-wise with hoisted bindings."""
-        if self._columnar:
-            self._on_run_tail_columnar(elements, port)
-            return
-        partner_state = self._states[1 - port]
-        key_of = self._keys[port]
-        bucket_of = partner_state.bucket
-        probe = self.selectivity_probe
-        # len() of a keyed sweep area walks every bucket — only pay for
-        # it when a selectivity probe is actually attached.
-        tested = len(partner_state) if probe is not None else 0
-        match = self._match
-        insert = self._states[port].insert
-        total_matches = 0
-        total = 0
-        for element in elements[1:]:
-            key = key_of(element.payload)
-            matches = 0
-            for partner in list(bucket_of(key)):
-                matches += 1
-                match(element, partner, port)
-            total_matches += matches
-            if probe is not None and tested:
-                probe(tested, matches)
-            insert(key, element)
-            total += 1
-        self.meter.charge(total, "join-hash")
-        if total_matches:
-            self.meter.charge(self.predicate_cost * total_matches, "join-predicate")
-
-    def _on_run_tail_columnar(self, elements: List[StreamElement], port: int) -> None:
-        """The run tail against columnar state — aggregated metering."""
-        partner = self._states[1 - port]
-        own = self._states[port]
-        tested = len(partner)
-        key_of = self._keys[port]
-        buckets_get = partner.buckets.get
-        probe = self.selectivity_probe
-        stage = self._stage
-        insert = own.insert
-        p_starts = partner.starts
-        p_ends = partner.ends
-        p_rows = partner.rows
-        p_flags = partner.flags
-        left = port == 0
-        total_matches = 0
-        total = 0
-        for element in elements[1:]:
-            payload = element.payload
-            key = key_of(payload)
-            matches = 0
-            bucket = buckets_get(key)
-            if bucket:
-                s = element.interval.start
-                e = element.interval.end
-                flag = element.flag
-                for j in bucket:
-                    matches += 1
-                    ps = p_starts[j]
-                    pe = p_ends[j]
-                    s2 = ps if ps > s else s
-                    e2 = pe if pe < e else e
-                    if s2 < e2:
-                        row = payload + p_rows[j] if left else p_rows[j] + payload
-                        stage(
-                            StreamElement(
-                                row,
-                                TimeInterval(s2, e2),
-                                combine_flags(flag, p_flags[j]),
-                            )
-                        )
-            total_matches += matches
-            if probe is not None and tested:
-                probe(tested, matches)
-            insert(key, element.interval.start, element.interval.end, payload, element.flag)
-            total += 1
-        self.meter.charge(total, "join-hash")
-        if total_matches:
-            self.meter.charge(self.predicate_cost * total_matches, "join-predicate")
 
     def _on_watermark(self, watermark: Time) -> None:
         for side in (0, 1):
@@ -576,18 +427,14 @@ class HashJoin(_JoinBase):
         self._check_port(port)
         key_of = self._keys[port]
         state = self._states[port]
-        if self._columnar:
-            for element in elements:
-                state.insert(
-                    key_of(element.payload),
-                    element.interval.start,
-                    element.interval.end,
-                    element.payload,
-                    element.flag,
-                )
-        else:
-            for element in elements:
-                state.insert(key_of(element.payload), element)
+        for element in elements:
+            state.insert(
+                key_of(element.payload),
+                element.interval.start,
+                element.interval.end,
+                element.payload,
+                element.flag,
+            )
 
     def pair_matches(self, left: Payload, right: Payload) -> bool:
         """Whether two payloads satisfy the (equi-)join predicate."""
@@ -602,8 +449,8 @@ def equi_join(
 ) -> HashJoin:
     """Convenience constructor: hash equi-join on single payload positions."""
     return HashJoin(
-        left_key=lambda payload: payload[left_field],
-        right_key=lambda payload: payload[right_field],
+        left_field,
+        right_field,
         predicate_cost=predicate_cost,
         name=name or f"equi-join[{left_field}={right_field}]",
     )

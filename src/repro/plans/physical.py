@@ -51,12 +51,9 @@ class PhysicalBuilder:
             to every built box.  On by default — fused and unfused boxes
             are byte-identical — and ``fuse=False`` keeps the unfused
             chain reachable as the equivalence oracle.
-        columnar: enable struct-of-arrays state and compiled stateful
-            kernels on the operators that support them (hash-join probe
-            and build, the ungrouped-aggregate segment fold).  On by
-            default — columnar and element-wise boxes are byte-identical —
-            and ``columnar=False`` keeps the element-wise path reachable
-            as the equivalence oracle.
+
+    Equi-joins compile to :class:`HashJoin` (columnar state, compiled
+    probe kernels) and ungrouped aggregates to the compiled segment fold.
     """
 
     def __init__(
@@ -65,7 +62,6 @@ class PhysicalBuilder:
         select_cost: int = 1,
         force_nested_loops: bool = False,
         fuse: bool = True,
-        columnar: bool = True,
     ) -> None:
         self.join_cost = join_cost
         self.select_cost = select_cost
@@ -73,7 +69,6 @@ class PhysicalBuilder:
         #: experimental setup (4-way nested-loops join trees, Section 5).
         self.force_nested_loops = force_nested_loops
         self.fuse = fuse
-        self.columnar = columnar
 
     def config(self) -> Dict[str, object]:
         """The constructor arguments as a picklable dict.
@@ -86,7 +81,6 @@ class PhysicalBuilder:
             "select_cost": self.select_cost,
             "force_nested_loops": self.force_nested_loops,
             "fuse": self.fuse,
-            "columnar": self.columnar,
         }
 
     def build(self, plan: LogicalPlan, label: str = "") -> Box:
@@ -176,15 +170,11 @@ class PhysicalBuilder:
             left_index = node.left.schema.index(left_column)
             right_index = node.right.schema.index(right_column)
             join: Operator = HashJoin(
-                left_key=lambda row, i=left_index: row[i],
-                right_key=lambda row, i=right_index: row[i],
+                left_index,
+                right_index,
                 predicate_cost=self.join_cost,
                 name=f"hash-join[{left_column}={right_column}]",
             )
-            if self.columnar:
-                # The positional indices mirror the key closures above, so
-                # the compiled probe kernels and the element path agree.
-                join.enable_columnar(left_index, right_index)
         elif node.condition is None:
             join = NestedLoopsJoin(
                 lambda left, right: True,
@@ -226,11 +216,7 @@ class PhysicalBuilder:
             group_key = lambda row: tuple(row[i] for i in indices)
         name = f"aggregate[{','.join(s.output_name() for s in node.aggregates)}]"
         aggregate = Aggregate(functions, group_key=group_key, name=name)
-        if (
-            self.columnar
-            and group_key is None
-            and len(functions) == len(node.aggregates)
-        ):
+        if group_key is None and len(functions) == len(node.aggregates):
             spec = tuple(
                 (
                     spec.function,
@@ -238,5 +224,5 @@ class PhysicalBuilder:
                 )
                 for spec in node.aggregates
             )
-            aggregate.enable_columnar(spec)
+            aggregate.use_fold_kernel(spec)
         return aggregate

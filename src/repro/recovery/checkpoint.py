@@ -95,7 +95,6 @@ class CheckpointManager:
                 "select_cost": builder.select_cost,
                 "force_nested_loops": builder.force_nested_loops,
                 "fuse": builder.fuse,
-                "columnar": builder.columnar,
             },
             "registry": {
                 "default_window": registry.default_window,

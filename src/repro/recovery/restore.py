@@ -72,7 +72,6 @@ def restore_service(
         select_cost=payload["builder"]["select_cost"],
         force_nested_loops=payload["builder"]["force_nested_loops"],
         fuse=payload["builder"]["fuse"],
-        columnar=payload["builder"]["columnar"],
     )
     registry_config = payload["registry"]
     service = ContinuousQueryService(

@@ -183,7 +183,7 @@ class TestColumnInternalRule:
 
 class TestOperatorConstructionRule:
     def test_direct_construction_flagged_in_recovery(self):
-        code = "def rebuild():\n    return HashJoin(lambda r: r[0], lambda r: r[0])\n"
+        code = "def rebuild():\n    return HashJoin(0, 0)\n"
         findings = lint_source(code, path="src/repro/recovery/bad.py")
         assert codes(findings) == ["RLB006"]
         assert "PhysicalBuilder" in findings[0].message

@@ -292,21 +292,27 @@ class TestOperatorClassification:
         assert diagnostic is not None and diagnostic.code == "CLS001"
 
     def test_columnar_state_without_drain_hooks_is_warned(self):
+        # A self-declared join is stateful whatever its state layout: CKP001
+        # demands the drain/seed pair GenMig and checkpoints move it with.
         class Undrainable(Operator):
             migration_profile = "join"
-            columnar_state = True
 
             def _on_element(self, element, port):
                 self._emit(element)
 
         from repro.analysis import classify_operator
-        from repro.analysis.plan_verifier import WARNING
+        from repro.analysis.plan_verifier import (
+            WARNING,
+            _checkpoint_state_diagnostic,
+        )
 
         classification, diagnostic = classify_operator(Undrainable())
         assert classification.kind == "join"
-        assert diagnostic is not None and diagnostic.code == "CLS003"
+        assert diagnostic is None
+        diagnostic = _checkpoint_state_diagnostic(Undrainable(), classification)
+        assert diagnostic is not None and diagnostic.code == "CKP001"
         assert diagnostic.severity == WARNING
-        assert "state_of_port" in diagnostic.message
+        assert "lacks both state_of_port and seed_state" in diagnostic.message
 
     def test_stateful_operator_without_state_hooks_is_not_checkpointable(self):
         class Opaque(Operator):
@@ -356,16 +362,17 @@ class TestOperatorClassification:
             assert not [d for d in verdict.diagnostics if d.code == "CKP001"]
 
     def test_columnar_hash_join_passes_drainability_check(self):
-        # The real columnar join materialises its struct-of-arrays state
-        # through state_of_port/seed_state, so no CLS003.
+        # The columnar hash join materialises its struct-of-arrays state
+        # through state_of_port/seed_state, so no CKP001.
         box = build(JoinNode(A, B, AB))
         join = box.root
-        assert getattr(join, "columnar_state", False)
         from repro.analysis import classify_operator
+        from repro.analysis.plan_verifier import _checkpoint_state_diagnostic
 
         classification, diagnostic = classify_operator(join)
-        assert classification.kind == "join"
+        assert classification.kind == "join" and classification.keyed
         assert diagnostic is None
+        assert _checkpoint_state_diagnostic(join, classification) is None
         assert verify_box(box).ok
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.operators import CostMeter, HashJoin, NestedLoopsJoin, equi_join, theta_join
+from repro.operators import CostMeter, equi_join, theta_join
 from repro.streams import CollectorSink
 from repro.temporal import (
     Multiset,
@@ -64,15 +64,6 @@ class TestJoinSemantics:
         right = [element("k", 2, 10)]
         out = drive(equi_join(0, 0), left, right)
         assert len(out) == 2
-
-    def test_custom_combiner(self):
-        join = HashJoin(
-            left_key=lambda p: p[0],
-            right_key=lambda p: p[0],
-            combiner=lambda l, r: (l[0], l[1] + r[1]),
-        )
-        out = drive(join, [element(("k", 1), 0, 9)], [element(("k", 2), 1, 9)])
-        assert out[0].payload == ("k", 3)
 
     def test_theta_join_arbitrary_predicate(self):
         join = theta_join(lambda l, r: l[0] < r[0])
@@ -136,7 +127,7 @@ class TestExpirationAndOrdering:
         join.process_heartbeat(50, 0)
         join.process_heartbeat(50, 1)
         assert not join._states[0]
-        assert not join._states[0]._buckets
+        assert not join._states[0].buckets
 
     def test_state_of_port(self):
         join = equi_join(0, 0)

@@ -24,7 +24,7 @@ The suite runs under the stream sanitizer like every property suite (the
 invariants are checked inside every replayed executor as well.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import RelationalReference, probe_instants, windowed
@@ -167,6 +167,19 @@ def as_tuples(elements):
     raw_a=raw_stream,
     raw_b=raw_stream,
     raw_c=raw_stream,
+)
+# Both roots deliver during the handover; a round-robin schedule with
+# R = 1 interleaves their results out of start order unless the
+# handover merges the roots in order.
+@example(
+    plan="join3",
+    scheduler="round-robin-2",
+    batch_size=1,
+    ranges=1,
+    migrate_at=0,
+    raw_a=[(0, 0)],
+    raw_b=[(0, 1), (0, 1)],
+    raw_c=[(0, 0), (0, 0)],
 )
 def test_fluid_matches_genmig_and_unmigrated(
     plan, scheduler, batch_size, ranges, migrate_at, raw_a, raw_b, raw_c

@@ -9,7 +9,13 @@ stateful operator twice — once with ``FORCE_SCAN`` (the pre-index
 algorithm) and once with the expiry index — and compare the full
 per-event trace.  ``DEBUG`` mode additionally cross-checks every indexed
 expiry and running value count internally.
+
+The hash join keeps columnar state, which has no scan mode; its oracle is
+the nested-loops join with the same equality predicate, compared as
+per-event multisets (the two iterate state in different orders).
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +38,6 @@ WINDOW = 25  # the Parallel Track tuple-timestamp retention window
 
 BINARY_OPERATORS = {
     "nl-join": lambda: NestedLoopsJoin(lambda l, r: l[0] == r[0]),
-    "hash-join": lambda: equi_join(0, 0),
     "difference": Difference,
 }
 
@@ -69,7 +74,15 @@ def fingerprint(op, sink):
     return (state, op.state_value_count(), outputs)
 
 
-def run_trace(make_op, events, arity, retention_at, force_scan):
+def bag_fingerprint(op, sink):
+    """:func:`fingerprint` with state and outputs as multisets."""
+    state, values, outputs = fingerprint(op, sink)
+    return (Counter(state), values, Counter(outputs))
+
+
+def run_trace(
+    make_op, events, arity, retention_at, force_scan, observe=fingerprint
+):
     """Replay ``events`` and fingerprint the operator after every one."""
     sweep.set_force_scan(force_scan)
     sweep.set_debug(True)
@@ -91,10 +104,10 @@ def run_trace(make_op, events, arity, retention_at, force_scan):
                 for p in range(arity):
                     op.process_heartbeat(t, p)
                 op.process(element(value, t, t + length), port)
-            trace.append(fingerprint(op, sink))
+            trace.append(observe(op, sink))
         for p in range(arity):
             op.process_heartbeat(MAX_TIME, p)
-        trace.append(fingerprint(op, sink))
+        trace.append(observe(op, sink))
         return trace
     finally:
         sweep.set_force_scan(False)
@@ -125,6 +138,17 @@ def test_unary_operator_purge_matches_scan(name, events, retention_at):
     reference = run_trace(make_op, events, 1, retention_at, force_scan=True)
     indexed = run_trace(make_op, events, 1, retention_at, force_scan=False)
     assert indexed == reference
+
+
+@settings(max_examples=30, deadline=None)
+@given(events=events_strategy, retention_at=retention_strategy)
+def test_hash_join_matches_nested_loops(events, retention_at):
+    def run(make_op):
+        return run_trace(
+            make_op, events, 2, retention_at, force_scan=False, observe=bag_fingerprint
+        )
+
+    assert run(lambda: equi_join(0, 0)) == run(BINARY_OPERATORS["nl-join"])
 
 
 T_SPLIT = 30
@@ -178,16 +202,23 @@ def test_coalesce_tables_match_scan(events):
     assert indexed == reference
 
 
+ALL_OPERATORS = {
+    **BINARY_OPERATORS,
+    **UNARY_OPERATORS,
+    "hash-join": lambda: equi_join(0, 0),
+}
+
+
 @settings(max_examples=20, deadline=None)
 @given(
-    name=st.sampled_from(sorted({**BINARY_OPERATORS, **UNARY_OPERATORS})),
+    name=st.sampled_from(sorted(ALL_OPERATORS)),
     events=events_strategy,
     retention_at=retention_strategy,
 )
 def test_incremental_value_count_matches_recount(name, events, retention_at):
     """The O(1) running count equals a from-scratch recount after every event."""
-    arity = 2 if name in BINARY_OPERATORS else 1
-    make_op = {**BINARY_OPERATORS, **UNARY_OPERATORS}[name]
+    arity = 1 if name in UNARY_OPERATORS else 2
+    make_op = ALL_OPERATORS[name]
     op = make_op()
     op.attach_sink(CollectorSink())
     t = 0

@@ -95,6 +95,19 @@ class TestKillAndRecover:
         restored.finish()
         assert_same_observable_state(restored, baseline, ["q"])
 
+    def test_snapshot_with_retired_columnar_field_restores(self, tmp_path):
+        # Snapshots written while PhysicalBuilder still took ``columnar``
+        # carry the field in their builder config; restore ignores it.
+        feed = make_feed()
+        baseline = run_to_end(make_service(("q", JOIN_CQL)), feed)
+        path = snapshot_of(make_service(("q", JOIN_CQL)), feed, 100, tmp_path)
+        payload = read_snapshot(path)
+        payload["builder"]["columnar"] = False
+        restored = restore_service(payload, policy=quiet_policy())
+        replay_tail(restored, feed)
+        restored.finish()
+        assert_same_observable_state(restored, baseline, ["q"])
+
     def test_elementwise_query_byte_identical(self, tmp_path):
         feed = make_feed()
         baseline = run_to_end(make_service(("q", SELECT_CQL)), feed)
