@@ -1,13 +1,21 @@
-"""Golden corpus of the stateful hash-join/aggregate plan shapes.
+"""Golden corpus of the stateful plan shapes.
 
-A fixed table of seeded cases — four plan shapes × three schedulers ×
+A fixed table of seeded cases — nine plan shapes × three schedulers ×
 batch sizes {1, 2, 3, 64} × {no migration, a GenMig migration}, two input
 seeds each — with the output stream and the cost-meter totals each case
 produced when the fixture was recorded.  The fixture
-(``golden_corpus.json``) was recorded with the element-wise hash-join
-layout, before that layout was deleted; replaying it against today's
-single path (``test_columnar_equivalence.py``) is the byte-identity
-oracle the deletion left behind.
+(``golden_corpus.json``) is the byte-identity oracle of deletions in the
+stateful operators, replayed by ``test_columnar_equivalence.py``:
+
+* the hash-join and aggregate shapes (first plan group) were recorded
+  with the element-wise hash-join layout, before that layout was deleted;
+* the nested-loops join, grouped aggregate, distinct, difference and
+  union shapes (second plan group) were recorded while stateful
+  operators still split uniform-start runs into a first element and a
+  deferred run tail, before that split was deleted.
+
+Each plan group only appends cases: seeds run on across groups, so the
+cases of an earlier group keep their inputs, and their bytes, unchanged.
 
 Every output element is stored as ``(payload, start, end, flag)``;
 :class:`~fractions.Fraction` values (GenMig's sub-chronon split times)
@@ -35,6 +43,8 @@ from repro.plans import (
     AggregateNode,
     AggregateSpec,
     Comparison,
+    DifferenceNode,
+    DistinctNode,
     Field,
     JoinNode,
     Literal,
@@ -42,6 +52,7 @@ from repro.plans import (
     ProjectNode,
     SelectNode,
     Source,
+    UnionNode,
 )
 from repro.streams import CollectorSink, timestamped_stream
 from repro.temporal import StreamElement
@@ -91,11 +102,59 @@ def join_aggregate_plan():
     )
 
 
+def nl_join_plan():
+    """A ⋈ B on a theta (non-equi) condition: the nested-loops join."""
+    return JoinNode(A, B, Comparison("<", Field("A.k"), Field("B.k")))
+
+
+def grouped_aggregate_plan():
+    """Aggregate grouped by key: the element-path segment sweep."""
+    return AggregateNode(
+        A,
+        [AggregateSpec("count"), AggregateSpec("sum", "A.v"), AggregateSpec("max", "A.v")],
+        group_by=["A.k"],
+    )
+
+
+def _keys_of_a():
+    return ProjectNode(A, [(Field("A.k"), "k")])
+
+
+def distinct_plan():
+    """Duplicate elimination over A: equal-start remainders released in
+    the order of a content stage key."""
+    return DistinctNode(A)
+
+
+def difference_plan():
+    """A's keys minus B's keys: the two-input bag difference."""
+    return DifferenceNode(_keys_of_a(), B)
+
+
+def union_plan():
+    """A's keys plus B's keys: the order-restoring union."""
+    return UnionNode(_keys_of_a(), B)
+
+
+#: Plan groups in recording order (see the module docstring).
+PLAN_GROUPS: Tuple[Dict[str, Callable[[], Any]], ...] = (
+    {
+        "hash-join": hash_join_plan,
+        "join-chain": join_chain_plan,
+        "aggregate": aggregate_plan,
+        "join-aggregate": join_aggregate_plan,
+    },
+    {
+        "nl-join": nl_join_plan,
+        "grouped-aggregate": grouped_aggregate_plan,
+        "distinct": distinct_plan,
+        "difference": difference_plan,
+        "union": union_plan,
+    },
+)
+
 PLANS: Dict[str, Callable[[], Any]] = {
-    "hash-join": hash_join_plan,
-    "join-chain": join_chain_plan,
-    "aggregate": aggregate_plan,
-    "join-aggregate": join_aggregate_plan,
+    name: plan for group in PLAN_GROUPS for name, plan in group.items()
 }
 
 SCHEDULERS: Dict[str, Callable[[], Any]] = {
@@ -124,7 +183,13 @@ def _raw_stream(rng: random.Random) -> List[List[int]]:
 def generate_cases() -> List[Dict[str, Any]]:
     """The seeded case table (inputs only, no expectations)."""
     cases = []
-    combinations = product(sorted(PLANS), sorted(SCHEDULERS), BATCH_SIZES, (False, True))
+    combinations = [
+        combination
+        for group in PLAN_GROUPS
+        for combination in product(
+            sorted(group), sorted(SCHEDULERS), BATCH_SIZES, (False, True)
+        )
+    ]
     seed = 0
     for plan, scheduler, batch_size, migrate in combinations:
         for _ in range(SEEDS_PER_COMBINATION):

@@ -1,15 +1,19 @@
-"""Golden-corpus replay of the stateful hash-join and aggregate plans.
+"""Golden-corpus replay of the stateful plan shapes.
 
 The hash join keeps one state layout (columnar) and probes through
 compiled kernels plus one element path; the ungrouped aggregate folds
-through a compiled kernel.  Their byte-identity oracle is the golden
-corpus (:mod:`golden_corpus`), recorded with the element-wise hash-join
-layout before it was deleted: every case must reproduce the recorded
-output stream — same elements, same delivery order, same flags, exact
-``Fraction`` endpoints — and the recorded cost-meter total and per-
-category charges.  The corpus spans four plan shapes × three schedulers
-× batch sizes {1, 2, 3, 64}, with and without a GenMig migration whose
-drain/seed moves the join's struct-of-arrays state.
+through a compiled kernel; every other stateful operator consumes a run
+through the element protocol alone.  Their byte-identity oracle is the
+golden corpus (:mod:`golden_corpus`): the hash-join and aggregate shapes
+were recorded with the element-wise hash-join layout before it was
+deleted, the nested-loops join, grouped aggregate, distinct, difference
+and union shapes before stateful operators stopped splitting runs into a
+first element and a deferred tail.  Every case must reproduce the
+recorded output stream — same elements, same delivery order, same flags,
+exact ``Fraction`` endpoints — and the recorded cost-meter total and
+per-category charges.  The corpus spans nine plan shapes × three
+schedulers × batch sizes {1, 2, 3, 64}, with and without a GenMig
+migration whose drain/seed moves the operators' state.
 
 Independently of any recording, every replayed output is checked
 against the relational oracle of Definition 1 (``RelationalReference``)
