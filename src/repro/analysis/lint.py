@@ -1,6 +1,6 @@
 """Project-specific AST lint rules for the engine code itself.
 
-Generic linters cannot know this codebase's temporal contract, so three
+Generic linters cannot know this codebase's temporal contract, so eight
 rules are enforced here with the stdlib ``ast`` module (no third-party
 dependency — ``ruff``/``mypy`` run additionally in CI):
 
@@ -18,13 +18,6 @@ dependency — ``ruff``/``mypy`` run additionally in CI):
     ``drain``) somewhere in its body.  Hand-rolled purge loops bypass the
     expiry index and the incremental state accounting, which the memory
     metrics and migration-progress checks are built on.
-
-``RLB003``
-    A ``StatefulOperator`` subclass overriding ``process_batch`` must
-    define ``_on_run_tail`` or explicitly declare ``batch_fallback =
-    True``.  The batch fast path defers per-element advances; an override
-    that ignores the run-tail hook silently loses the amortisation or,
-    worse, the element-protocol equivalence.
 
 ``RLB004``
     Kernel-compiler inputs must be side-effect-free *expression trees*:
@@ -231,40 +224,15 @@ class _ClassFacts:
 
     name: str
     line: int
-    bases: Tuple[str, ...]
-    methods: Set[str]
-    assigns: Set[str]
     watermark_def: Optional[ast.FunctionDef]
-    process_batch_def: Optional[ast.FunctionDef]
     calls_purge_api: bool
 
 
-def _base_name(node: ast.expr) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 def _scan_class(node: ast.ClassDef) -> _ClassFacts:
-    methods: Set[str] = set()
-    assigns: Set[str] = set()
     watermark_def: Optional[ast.FunctionDef] = None
-    process_batch_def: Optional[ast.FunctionDef] = None
     for item in node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            methods.add(item.name)
-            if item.name == "_on_watermark" and isinstance(item, ast.FunctionDef):
-                watermark_def = item
-            if item.name == "process_batch" and isinstance(item, ast.FunctionDef):
-                process_batch_def = item
-        elif isinstance(item, ast.Assign):
-            for target in item.targets:
-                if isinstance(target, ast.Name):
-                    assigns.add(target.id)
-        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            assigns.add(item.target.id)
+        if isinstance(item, ast.FunctionDef) and item.name == "_on_watermark":
+            watermark_def = item
     calls_purge = False
     for sub in ast.walk(node):
         if isinstance(sub, ast.Call):
@@ -280,11 +248,7 @@ def _scan_class(node: ast.ClassDef) -> _ClassFacts:
     return _ClassFacts(
         name=node.name,
         line=node.lineno,
-        bases=tuple(b for b in (_base_name(base) for base in node.bases) if b),
-        methods=methods,
-        assigns=assigns,
         watermark_def=watermark_def,
-        process_batch_def=process_batch_def,
         calls_purge_api=calls_purge,
     )
 
@@ -580,11 +544,10 @@ def _mutable_global_findings(tree: ast.AST, path: str) -> List[LintFinding]:
 
 
 class Linter:
-    """Two-pass linter: collect class facts everywhere, then apply rules."""
+    """Collects modules, then applies every rule to each of them."""
 
     def __init__(self) -> None:
         self._modules: List[Tuple[str, ast.AST, List[_ClassFacts]]] = []
-        self._hierarchy: Dict[str, Tuple[str, ...]] = {}
 
     def add_source(self, code: str, path: str) -> None:
         tree = ast.parse(code, filename=path)
@@ -593,29 +556,10 @@ class Linter:
             for node in ast.walk(tree)
             if isinstance(node, ast.ClassDef)
         ]
-        for cls in facts:
-            self._hierarchy[cls.name] = cls.bases
         self._modules.append((path, tree, facts))
 
     def add_path(self, path: Path) -> None:
         self.add_source(path.read_text(encoding="utf-8"), str(path))
-
-    def _is_stateful(self, name: str, seen: Optional[Set[str]] = None) -> bool:
-        """Whether ``name`` transitively derives from StatefulOperator.
-
-        Resolution is by class *name* across all scanned modules — sound
-        for this codebase's flat namespace, and the conservative direction
-        for a linter (an unknown base simply does not match).
-        """
-        if name == "StatefulOperator":
-            return True
-        seen = seen or set()
-        if name in seen:
-            return False
-        seen.add(name)
-        return any(
-            self._is_stateful(base, seen) for base in self._hierarchy.get(name, ())
-        )
 
     def run(self) -> List[LintFinding]:
         findings: List[LintFinding] = []
@@ -654,24 +598,6 @@ class Linter:
                     f"API ({', '.join(sorted(PURGE_APIS))}): hand-rolled "
                     "purge loops bypass the expiry index and the "
                     "incremental state accounting",
-                )
-            )
-        if (
-            cls.process_batch_def is not None
-            and cls.name != "StatefulOperator"
-            and self._is_stateful(cls.name)
-            and "_on_run_tail" not in cls.methods
-            and "batch_fallback" not in cls.assigns
-        ):
-            findings.append(
-                LintFinding(
-                    path,
-                    cls.process_batch_def.lineno,
-                    "RLB003",
-                    f"{cls.name} overrides process_batch without defining "
-                    "_on_run_tail or declaring `batch_fallback = True`: "
-                    "batch overrides must either handle the run tail or "
-                    "opt out of the amortised path explicitly",
                 )
             )
         return findings

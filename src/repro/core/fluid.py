@@ -57,6 +57,7 @@ from ..temporal.batch import Batch
 from ..temporal.element import StreamElement, as_payload
 from ..temporal.time import EPSILON, MIN_TIME, Time
 from .moving_states import _StateSeeder
+from .split import dispatch_side
 from .strategy import MigrationReport, MigrationStrategy, UnsupportedPlanError
 
 
@@ -134,20 +135,8 @@ class FrontierRouter(Operator):
                 new_parts.append(element)
             else:
                 old_parts.append(element)
-        for parts, targets in (
-            (old_parts, self._old_targets),
-            (new_parts, self._new_targets),
-        ):
-            if not parts:
-                continue
-            side = Batch._trusted(
-                parts,
-                parts[-1].start,
-                batch.source,
-                parts[0].start == parts[-1].start,
-            )
-            for operator, target_port in targets:
-                operator.process_batch(side, target_port)
+        dispatch_side(old_parts, self._old_targets, batch.source)
+        dispatch_side(new_parts, self._new_targets, batch.source)
         self._forward_watermark(max(elements[-1].start, batch.watermark))
 
     def process_heartbeat(self, t: Time, port: int = 0) -> None:

@@ -24,7 +24,7 @@ Beyond Algorithm 2's element routing, the implementation also forwards
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Optional
 
 from ..engine.box import InputPort
 from ..operators.base import Operator
@@ -43,6 +43,25 @@ def _covers_instants(interval) -> bool:
     if interval is None:
         return False
     return math.ceil(interval.start) < interval.end
+
+
+def dispatch_side(
+    parts: List[StreamElement], targets: List[InputPort], source: Optional[str]
+) -> None:
+    """Forward one side's share of a routed run as a single sub-batch.
+
+    ``parts`` keeps the input run's start order, so every target sees
+    exactly the element sequence it would see element-wise.  Shared by
+    the two-sided routers, :class:`Split` and fluid migration's frontier
+    router.
+    """
+    if not parts:
+        return
+    side = Batch._trusted(
+        parts, parts[-1].start, source, parts[0].start == parts[-1].start
+    )
+    for operator, target_port in targets:
+        operator.process_batch(side, target_port)
 
 
 class Split(Operator):
@@ -105,20 +124,8 @@ class Split(Operator):
                 old_parts.append(old_part)
             if new_part is not None:
                 new_parts.append(new_part)
-        for parts, targets in (
-            (old_parts, self._old_targets),
-            (new_parts, self._new_targets),
-        ):
-            if not parts:
-                continue
-            side = Batch._trusted(
-                parts,
-                parts[-1].start,
-                batch.source,
-                parts[0].start == parts[-1].start,
-            )
-            for operator, target_port in targets:
-                operator.process_batch(side, target_port)
+        dispatch_side(old_parts, self._old_targets, batch.source)
+        dispatch_side(new_parts, self._new_targets, batch.source)
         self._forward_watermarks(max(elements[-1].start, batch.watermark))
 
     def process_heartbeat(self, t: Time, port: int = 0) -> None:

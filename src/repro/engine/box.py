@@ -141,20 +141,9 @@ class Router(Operator):
 
     def process_batch(self, batch: Batch, port: int = 0) -> None:
         """Forward a whole batch in one dispatch per subscriber."""
-        if _operator_base.SANITIZER is not None:
-            _operator_base.SANITIZER.on_batch(self, batch, 0)
-        watermarks = self._watermarks
-        first = batch.first_start
-        if first < watermarks[0]:
-            raise ValueError(
-                f"{self.name}: out-of-order element on port 0: "
-                f"{first} < watermark {watermarks[0]}"
-            )
-        watermarks[0] = batch.last_start
+        self._begin_run(batch, port)
         self._emit_batch(batch)
-        self._advance()
-        if batch.watermark > watermarks[0]:
-            self.process_heartbeat(batch.watermark, 0)
+        self._end_run(batch, port)
 
     def retarget(self, targets: List[InputPort]) -> None:
         """Atomically replace the subscriber list."""

@@ -160,10 +160,13 @@ class Operator:
         The default replays the exact element-at-a-time protocol —
         validate, watermark, :meth:`_on_element`, :meth:`_advance` per
         element, then the batch's trailing watermark as a heartbeat — so
-        any operator is batch-correct by construction.  Operators with
-        run-amortisable work (probing, purging, metering) override this;
-        every override must keep the observable behaviour bit-identical
-        for the batches it accepts and fall back to this loop otherwise.
+        any operator is batch-correct by construction, and it is the only
+        way a stateful operator consumes a run.  Stateless operators
+        (and the hash join's probe kernels) override this to transform a
+        whole run at once, between :meth:`_begin_run` and
+        :meth:`_end_run`; every override must keep the observable
+        behaviour bit-identical for the batches it accepts and fall back
+        to this loop otherwise.
         """
         self._check_port(port)
         if SANITIZER is not None:
@@ -184,6 +187,33 @@ class Operator:
             on_element(element, port)
             advance()
         if batch.watermark > wm:
+            self.process_heartbeat(batch.watermark, port)
+
+    def _begin_run(self, batch: Batch, port: int) -> None:
+        """Admit a whole run: the prologue of every run-at-once override.
+
+        Port check, the sanitizer's batch hook, the order check of the
+        run's first start against the port watermark, and the watermark
+        moved to the run's last start (starts are monotone within a run).
+        ``first_start``/``last_start`` read a columnar run without boxing
+        its elements.
+        """
+        self._check_port(port)
+        if SANITIZER is not None:
+            SANITIZER.on_batch(self, batch, port)
+        first = batch.first_start
+        if first < self._watermarks[port]:
+            raise ValueError(
+                f"{self.name}: out-of-order element on port {port}: "
+                f"{first} < watermark {self._watermarks[port]}"
+            )
+        self._watermarks[port] = batch.last_start
+
+    def _end_run(self, batch: Batch, port: int) -> None:
+        """Close a run admitted by :meth:`_begin_run`: one :meth:`_advance`,
+        then the batch's trailing watermark as a heartbeat."""
+        self._advance()
+        if batch.watermark > self._watermarks[port]:
             self.process_heartbeat(batch.watermark, port)
 
     def process_heartbeat(self, t: Time, port: int = 0) -> None:
@@ -462,46 +492,3 @@ class StatefulOperator(Operator):
 
     def __init__(self, arity: int = 1, name: str = "") -> None:
         super().__init__(arity=arity, name=name, ordered_output=True)
-
-    def process_batch(self, batch: Batch, port: int = 0) -> None:
-        """Run-amortised batch path for uniform-start runs.
-
-        The first element replays the exact element protocol — it probes
-        pre-purge state and its :meth:`_advance` runs the watermark purge
-        for the whole run.  The remaining elements cannot move any
-        watermark (same start, same port), so their intermediate advances
-        would neither purge nor emit heartbeats, and the staged results
-        they would release come out of the final advance in the identical
-        ``(start, sequence)`` order; deferring them is observation-
-        preserving.  Non-uniform batches fall back to the element loop.
-        """
-        elements = batch.elements
-        if len(elements) < 2 or not batch.uniform_start:
-            super().process_batch(batch, port)
-            return
-        self._check_port(port)
-        if SANITIZER is not None:
-            SANITIZER.on_batch(self, batch, port)
-        start = elements[0].start
-        if start < self._watermarks[port]:
-            raise ValueError(
-                f"{self.name}: out-of-order element on port {port}: "
-                f"{start} < watermark {self._watermarks[port]}"
-            )
-        self._watermarks[port] = start
-        self._on_element(elements[0], port)
-        self._advance()
-        self._on_run_tail(elements, port)
-        self._advance()
-        if batch.watermark > start:
-            self.process_heartbeat(batch.watermark, port)
-
-    def _on_run_tail(self, elements: List[StreamElement], port: int) -> None:
-        """Consume ``elements[1:]`` of a uniform-start run (post-purge).
-
-        Subclasses with run-amortisable probing/metering override this;
-        the default feeds the elements one by one.
-        """
-        on_element = self._on_element
-        for element in elements[1:]:
-            on_element(element, port)

@@ -25,21 +25,12 @@ from ..temporal.element import Payload, StreamElement
 from ..temporal.interval import TimeInterval
 from ..temporal.intervalset import IntervalSet
 from ..temporal.time import Time
-from ..temporal.batch import Batch
 from . import sweep
-from .base import Operator, StatefulOperator
+from .base import StatefulOperator
 
 
 class DuplicateElimination(StatefulOperator):
     """Emit each payload's validity exactly once per snapshot."""
-
-    #: Remainders may be staged *ahead* of the watermark (a covered prefix
-    #: pushes the uncovered rest into the future), so equal-start deferred
-    #: releases exist here.  The amortised uniform-run batch path would
-    #: release them in heap order while the element path releases each in
-    #: its own advance (insertion order); with the content stage key below
-    #: those differ, so this operator keeps the exact element loop.
-    batch_fallback = True
 
     def __init__(self, name: str = "") -> None:
         super().__init__(arity=1, name=name or "distinct")
@@ -50,9 +41,6 @@ class DuplicateElimination(StatefulOperator):
         self._expiry_heap: List[Tuple[Time, int, Payload]] = []
         self._seq = itertools.count()
         self._values = 0
-
-    def process_batch(self, batch: Batch, port: int = 0) -> None:
-        Operator.process_batch(self, batch, port)
 
     def _stage_key(self, element: StreamElement) -> object:
         """Canonical equal-start order: snapshots are unordered, and no two

@@ -10,7 +10,6 @@ from typing import Callable
 
 from ..temporal.batch import Batch
 from ..temporal.element import Payload, StreamElement
-from . import base as _base
 from .base import StatelessOperator
 
 
@@ -45,21 +44,11 @@ class Select(StatelessOperator):
         ``len(batch) * cost`` units in one call, same totals per run —
         and survivors flow on as a single batch dispatch.
         """
-        if _base.SANITIZER is not None:
-            _base.SANITIZER.on_batch(self, batch, 0)
-        watermarks = self._watermarks
+        self._begin_run(batch, port)
         elements = batch.elements
-        if elements[0].start < watermarks[0]:
-            raise ValueError(
-                f"{self.name}: out-of-order element on port 0: "
-                f"{elements[0].start} < watermark {watermarks[0]}"
-            )
-        watermarks[0] = elements[-1].start
         self.meter.charge(len(elements) * self.cost, "select")
         predicate = self.predicate
         survivors = [e for e in elements if predicate(e.payload)]
         if survivors:
             self._emit_batch(batch.with_elements(survivors))
-        self._advance()
-        if batch.watermark > watermarks[0]:
-            self.process_heartbeat(batch.watermark, 0)
+        self._end_run(batch, port)

@@ -19,7 +19,6 @@ from ..temporal.columnar import ColumnarBatch
 from ..temporal.element import Payload, StreamElement, combine_flags
 from ..temporal.interval import TimeInterval
 from ..temporal.time import Time
-from . import base
 from .base import StatefulOperator
 from .colstate import ColumnarJoinState
 from .sweep import SweepArea
@@ -109,38 +108,6 @@ class NestedLoopsJoin(_JoinBase):
         self._states[port].insert(element)
         self.meter.charge(1, "join-insert")
 
-    def _on_run_tail(self, elements: List[StreamElement], port: int) -> None:
-        """Probe a uniform-start run against one partner snapshot.
-
-        The run's first element already triggered the watermark purge, and
-        inserts land on this port's own side, so the partner state is
-        fixed for the whole tail — snapshot it once and probe with local
-        bindings only.
-        """
-        partners = self._states[1 - port].as_list()
-        tested = len(partners)
-        predicate = self.predicate
-        probe = self.selectivity_probe
-        match = self._match
-        insert = self._states[port].insert
-        total = 0
-        left = port == 0
-        for element in elements[1:]:
-            payload = element.payload
-            if left:
-                matched = [p for p in partners if predicate(payload, p.payload)]
-            else:
-                matched = [p for p in partners if predicate(p.payload, payload)]
-            for partner in matched:
-                match(element, partner, port)
-            if probe is not None and tested:
-                probe(tested, len(matched))
-            insert(element)
-            total += 1
-        if tested:
-            self.meter.charge(self.predicate_cost * tested * total, "join-predicate")
-        self.meter.charge(total, "join-insert")
-
     def _on_watermark(self, watermark: Time) -> None:
         for side in (0, 1):
             self._states[side].expire(watermark)
@@ -197,10 +164,6 @@ class HashJoin(_JoinBase):
     #: runs, the input layout of the probe kernels.
     columnar_feed = True
 
-    #: Lint rule RLB003: plain and flagged runs take the base run loop,
-    #: one :meth:`_on_element` per element.
-    batch_fallback = True
-
     def __init__(
         self,
         left_index: int,
@@ -220,15 +183,16 @@ class HashJoin(_JoinBase):
         )
 
     def process_batch(self, batch: Batch, port: int = 0) -> None:
-        """Kernel-probe a columnar run; else the stateful batch protocol.
+        """Kernel-probe a columnar run; else the element protocol.
 
-        The columnar path splits each uniform run around the watermark
-        purge exactly like :meth:`StatefulOperator.process_batch`: the
-        first element probes *pre-purge* partner state (expired-but-
-        unpurged partners still match, as in the element protocol), the
-        purge runs once, and the tail probes post-purge state.  Flagged
-        input or flagged state (Parallel Track lineage) falls back to
-        the element path, which the probe kernels do not model.
+        The columnar path models the element protocol's purge timing on
+        each uniform run: the first element probes *pre-purge* partner
+        state (expired-but-unpurged partners still match), its advance
+        runs the purge once for the whole run, and the tail probes
+        post-purge state — same start, same port, so no later element of
+        the run could move a watermark.  Plain batches and flagged input
+        or state (Parallel Track lineage) take the base element loop,
+        which the probe kernels do not model.
         """
         if (
             type(batch) is not ColumnarBatch
@@ -242,17 +206,8 @@ class HashJoin(_JoinBase):
             for run in batch.runs():
                 self.process_batch(run, port)
             return
-        self._check_port(port)
-        if base.SANITIZER is not None:
-            base.SANITIZER.on_batch(self, batch, port)
+        self._begin_run(batch, port)
         starts = batch.starts
-        t = starts[0]
-        if t < self._watermarks[port]:
-            raise ValueError(
-                f"{self.name}: out-of-order element on port {port}: "
-                f"{t} < watermark {self._watermarks[port]}"
-            )
-        self._watermarks[port] = t
         n = len(starts)
         ends = batch.ends
         rows = batch.rows
@@ -263,41 +218,29 @@ class HashJoin(_JoinBase):
         probe = self.selectivity_probe
         charge = self.meter.charge
         cost = self.predicate_cost
-        out_s: List[Time] = []
-        out_e: List[Time] = []
-        out_r: List[Payload] = []
-        tested = len(partner)
-        matches, ahead = kernel(
-            0, 1, starts, ends, rows,
-            partner.buckets, partner.starts, partner.ends, partner.rows,
-            out_s, out_e, out_r,
-        )
-        own.insert_run(key_index, starts, ends, rows, 0, 1)
-        charge(1, "join-hash")
-        if matches:
-            charge(cost * matches, "join-predicate")
-        if probe is not None and tested:
-            probe(tested, matches)
-        self._flush_columnar(out_s, out_e, out_r, ahead)
-        if n > 1:
-            out_s = []
-            out_e = []
-            out_r = []
+        for lo, hi in ((0, 1), (1, n)):
+            if lo == hi:
+                break
+            if lo:
+                # The first element's advance purges for the whole run.
+                self._advance()
+            out_s: List[Time] = []
+            out_e: List[Time] = []
+            out_r: List[Payload] = []
             tested = len(partner)
             matches, ahead = kernel(
-                1, n, starts, ends, rows,
+                lo, hi, starts, ends, rows,
                 partner.buckets, partner.starts, partner.ends, partner.rows,
                 out_s, out_e, out_r,
             )
-            own.insert_run(key_index, starts, ends, rows, 1, n)
-            charge(n - 1, "join-hash")
+            own.insert_run(key_index, starts, ends, rows, lo, hi)
+            charge(hi - lo, "join-hash")
             if matches:
                 charge(cost * matches, "join-predicate")
             if probe is not None and tested:
-                probe(tested * (n - 1), matches)
+                probe(tested * (hi - lo), matches)
             self._flush_columnar(out_s, out_e, out_r, ahead)
-        if batch.watermark > t:
-            self.process_heartbeat(batch.watermark, port)
+        self._end_run(batch, port)
 
     def _flush_columnar(
         self,
@@ -306,7 +249,7 @@ class HashJoin(_JoinBase):
         out_r: List[Payload],
         ahead: bool,
     ) -> None:
-        """Hand one kernel probe's results on, then :meth:`_advance`.
+        """Hand one kernel probe's results on (the caller advances).
 
         The probe output is forwarded as one columnar batch when the
         element path would have released exactly these results, in this
@@ -333,7 +276,6 @@ class HashJoin(_JoinBase):
             stage = self._stage
             for s, e, row in zip(out_s, out_e, out_r):
                 stage(StreamElement(row, TimeInterval(s, e)))
-        self._advance()
 
     def _on_element(self, element: StreamElement, port: int) -> None:
         payload = element.payload

@@ -6,7 +6,6 @@ from typing import Callable, Sequence
 
 from ..temporal.batch import Batch
 from ..temporal.element import Payload, StreamElement, as_payload
-from . import base as _base
 from .base import StatelessOperator
 
 
@@ -30,25 +29,15 @@ class Project(StatelessOperator):
     def process_batch(self, batch: Batch, port: int = 0) -> None:
         """Map a whole run with one comprehension and one meter charge
         (``len(batch)`` units — exactly what the element loop charges)."""
-        if _base.SANITIZER is not None:
-            _base.SANITIZER.on_batch(self, batch, 0)
-        watermarks = self._watermarks
+        self._begin_run(batch, port)
         elements = batch.elements
-        if elements[0].start < watermarks[0]:
-            raise ValueError(
-                f"{self.name}: out-of-order element on port 0: "
-                f"{elements[0].start} < watermark {watermarks[0]}"
-            )
-        watermarks[0] = elements[-1].start
         self.meter.charge(len(elements), "project")
         mapping = self.mapping
         mapped = [
             e.with_payload(as_payload(mapping(e.payload))) for e in elements
         ]
         self._emit_batch(batch.with_elements(mapped))
-        self._advance()
-        if batch.watermark > watermarks[0]:
-            self.process_heartbeat(batch.watermark, 0)
+        self._end_run(batch, port)
 
 
 class ProjectFields(Project):

@@ -170,10 +170,6 @@ class SweepArea:
 
     # -- inspection ---------------------------------------------------- #
 
-    def as_list(self) -> List[StreamElement]:
-        """An insertion-order snapshot of the content (probe-loop helper)."""
-        return list(self._elements.values())
-
     def value_count(self) -> int:
         """Payload values held — O(1), cross-checked under ``DEBUG``."""
         if DEBUG:

@@ -48,37 +48,14 @@ class _MappingWindow(StatelessOperator):
         self._stage(self._map_element(element))
 
     def process_batch(self, batch: Batch, port: int = 0) -> None:
-        self._check_port(port)
-        watermarks = self._watermarks
-        if type(batch) is ColumnarBatch:
-            mapped_batch = self._map_columnar(batch)
-            if mapped_batch is not None:
-                first = batch.first_start
-                if first < watermarks[port]:
-                    raise ValueError(
-                        f"{self.name}: out-of-order element on port {port}: "
-                        f"{first} < watermark {watermarks[port]}"
-                    )
-                watermarks[port] = batch.last_start
-                self.meter.charge(len(batch), "window")
-                self._emit_batch(mapped_batch)
-                self._advance()
-                if batch.watermark > watermarks[port]:
-                    self.process_heartbeat(batch.watermark, port)
-                return
-        elements = batch.elements
-        if elements[0].start < watermarks[port]:
-            raise ValueError(
-                f"{self.name}: out-of-order element on port {port}: "
-                f"{elements[0].start} < watermark {watermarks[port]}"
-            )
-        watermarks[port] = elements[-1].start
-        self.meter.charge(len(elements), "window")
-        mapped = self._map_element
-        self._emit_batch(batch.with_elements([mapped(e) for e in elements]))
-        self._advance()
-        if batch.watermark > watermarks[port]:
-            self.process_heartbeat(batch.watermark, port)
+        self._begin_run(batch, port)
+        self.meter.charge(len(batch), "window")
+        mapped = self._map_columnar(batch) if type(batch) is ColumnarBatch else None
+        if mapped is None:
+            map_element = self._map_element
+            mapped = batch.with_elements([map_element(e) for e in batch.elements])
+        self._emit_batch(mapped)
+        self._end_run(batch, port)
 
 
 class TimeWindow(_MappingWindow):

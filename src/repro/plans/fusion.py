@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine.box import Box, InputPort
 from ..operators.base import Operator, StatelessOperator
-from ..operators import base as _operator_base
 from ..temporal.batch import Batch
 from ..temporal.columnar import ColumnarBatch
 from ..temporal.element import StreamElement
@@ -97,17 +96,8 @@ class FusedStateless(StatelessOperator):
 
     def process_batch(self, batch: Batch, port: int = 0) -> None:
         """Evaluate the whole chain over the run in one kernel call."""
-        if _operator_base.SANITIZER is not None:
-            _operator_base.SANITIZER.on_batch(self, batch, 0)
-        watermarks = self._watermarks
-        elements = batch.elements
-        if elements[0].start < watermarks[0]:
-            raise ValueError(
-                f"{self.name}: out-of-order element on port 0: "
-                f"{elements[0].start} < watermark {watermarks[0]}"
-            )
-        watermarks[0] = elements[-1].start
-        out, counts = self.kernel.fn(elements)
+        self._begin_run(batch, port)
+        out, counts = self.kernel.fn(batch.elements)
         self._charge(counts)
         if out:
             if type(batch) is ColumnarBatch:
@@ -121,9 +111,7 @@ class FusedStateless(StatelessOperator):
                 )
             else:
                 self._emit_batch(batch.with_elements(out))
-        self._advance()
-        if batch.watermark > watermarks[0]:
-            self.process_heartbeat(batch.watermark, 0)
+        self._end_run(batch, port)
 
     def __repr__(self) -> str:
         return f"<FusedStateless {self.name!r} members={list(self.members)}>"

@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from repro.analysis.lint import Linter, lint_paths, lint_source, main
+from repro.analysis.lint import lint_paths, lint_source, main
 
 
 def codes(findings):
@@ -56,58 +56,6 @@ class TestPurgeRule:
             "        pass\n"
         )
         assert lint_source(code) == []
-
-
-class TestBatchOverrideRule:
-    def test_override_without_run_tail_flagged(self):
-        code = (
-            "class MyJoin(StatefulOperator):\n"
-            "    def process_batch(self, batch, port=0):\n"
-            "        pass\n"
-        )
-        findings = lint_source(code)
-        assert codes(findings) == ["RLB003"]
-        assert "_on_run_tail" in findings[0].message
-
-    def test_override_with_run_tail_allowed(self):
-        code = (
-            "class MyJoin(StatefulOperator):\n"
-            "    def process_batch(self, batch, port=0):\n"
-            "        pass\n"
-            "    def _on_run_tail(self, elements, port):\n"
-            "        pass\n"
-        )
-        assert lint_source(code) == []
-
-    def test_declared_fallback_allowed(self):
-        code = (
-            "class MyJoin(StatefulOperator):\n"
-            "    batch_fallback = True\n"
-            "    def process_batch(self, batch, port=0):\n"
-            "        pass\n"
-        )
-        assert lint_source(code) == []
-
-    def test_stateless_override_not_flagged(self):
-        code = (
-            "class Fast(StatelessOperator):\n"
-            "    def process_batch(self, batch, port=0):\n"
-            "        pass\n"
-        )
-        assert lint_source(code) == []
-
-    def test_transitive_stateful_base_resolved(self):
-        linter = Linter()
-        linter.add_source(
-            "class Middle(StatefulOperator):\n    pass\n", "middle.py"
-        )
-        linter.add_source(
-            "class Leaf(Middle):\n"
-            "    def process_batch(self, batch, port=0):\n"
-            "        pass\n",
-            "leaf.py",
-        )
-        assert codes(linter.run()) == ["RLB003"]
 
 
 class TestKernelInputRule:

@@ -19,9 +19,11 @@ from repro.analysis.sanitizer import (
 )
 from repro.engine.box import Box, OutputGate
 from repro.operators.base import Operator, StatefulOperator, StatelessOperator
+from repro.operators.window import TimeWindow
 from repro.streams import PhysicalStream
 from repro.engine import QueryExecutor
 from repro.temporal.batch import Batch
+from repro.temporal.columnar import ColumnarBatch
 from repro.temporal.element import StreamElement, element
 from repro.temporal.interval import TimeInterval
 
@@ -184,6 +186,27 @@ class TestBatchViolations:
             with pytest.raises(SanitizerViolation) as info:
                 target.process_batch(bad, 0)
         assert info.value.code == "SAN005"
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_retracting_watermark_caught_at_window_port(self, columnar):
+        """Windows admit runs through the same prologue as every other
+        run-at-once operator, sanitizer hook included — plain and
+        columnar runs alike."""
+        window = TimeWindow(3)
+        if columnar:
+            bad = ColumnarBatch.from_columns(
+                [4, 5], [5, 6], [("a",), ("b",)], None, 2, None, False
+            )
+        else:
+            bad = Batch._trusted(
+                [element("a", 4, 5), element("b", 5, 6)], 2, None, False
+            )
+        with sanitized():
+            with pytest.raises(SanitizerViolation) as info:
+                window.process_batch(bad, 0)
+        assert info.value.code == "SAN005"
+        # Caught on the way in, not only once the window re-emits it.
+        assert "input port 0" in str(info.value)
 
 
 class TestSourceViolations:
